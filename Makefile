@@ -133,8 +133,12 @@ serve-smoke:
 # executes exactly once cluster-wide, the finished result replicates to
 # both HRW successors, and after the owner is hard-killed the survivors
 # serve its job ID and hash from replicas and absorb its hash range.
+# The proxy tests then repeat under the race detector, so a flake in
+# the stream-follow path (owner killed or frozen mid-stream, cancel
+# relayed) shows up here rather than once in a while.
 serve-cluster-smoke:
 	$(GO) run ./cmd/nocstar-serve -selftest-cluster
+	$(GO) test -race -count 3 -run 'TestProxy|TestKillOwner|TestTwoNodeProxy' ./internal/server/
 
 # The partitioned-engine determinism gate: Result identity and per-region
 # golden event order across shard counts, the end-to-end report matrix

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"nocstar"
+	"nocstar/internal/sse"
 )
 
 // Client talks to one nocstar serve-tier base URL.
@@ -219,14 +220,14 @@ func (c *Client) waitEvents(ctx context.Context, id string) error {
 		return decodeError(resp)
 	}
 	saw := false
-	err = readSSE(resp.Body, func(event string, data []byte) error {
+	err = sse.Read(resp.Body, func(event string, data []byte) error {
 		var st RunStatus
 		if err := json.Unmarshal(data, &st); err != nil {
 			return err
 		}
 		if st.Terminal() {
 			saw = true
-			return errStopSSE
+			return sse.ErrStop
 		}
 		return nil
 	})

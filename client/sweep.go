@@ -1,16 +1,15 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"nocstar"
+	"nocstar/internal/sse"
 )
 
 // SweepResult is one streamed sweep leg: the terminal status of the
@@ -86,7 +85,7 @@ func (c *Client) SweepJSON(ctx context.Context, body []byte, fn func(SweepResult
 	}
 	var summary SweepSummary
 	sawSummary := false
-	err = readSSE(resp.Body, func(event string, data []byte) error {
+	err = sse.Read(resp.Body, func(event string, data []byte) error {
 		switch event {
 		case "result":
 			var sr SweepResult
@@ -96,7 +95,7 @@ func (c *Client) SweepJSON(ctx context.Context, body []byte, fn func(SweepResult
 			if fn != nil {
 				if err := fn(sr); err != nil {
 					if errors.Is(err, ErrStopSweep) {
-						return errStopSSE
+						return sse.ErrStop
 					}
 					return err
 				}
@@ -106,7 +105,7 @@ func (c *Client) SweepJSON(ctx context.Context, body []byte, fn func(SweepResult
 				return fmt.Errorf("nocstar: decoding sweep summary: %w", err)
 			}
 			sawSummary = true
-			return errStopSSE
+			return sse.ErrStop
 		}
 		return nil
 	})
@@ -117,46 +116,4 @@ func (c *Client) SweepJSON(ctx context.Context, body []byte, fn func(SweepResult
 		return summary, fmt.Errorf("nocstar: sweep stream ended without a summary")
 	}
 	return summary, nil
-}
-
-// errStopSSE is the internal "stop reading frames" signal.
-var errStopSSE = errors.New("stop sse")
-
-// readSSE parses a server-sent-events stream, invoking fn once per
-// frame with the event name and data payload. fn returning errStopSSE
-// ends the read cleanly.
-func readSSE(r io.Reader, fn func(event string, data []byte) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-	event := ""
-	var data []byte
-	flush := func() error {
-		if len(data) == 0 {
-			event = ""
-			return nil
-		}
-		err := fn(event, data)
-		event, data = "", nil
-		return err
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if err := flush(); err != nil {
-				if errors.Is(err, errStopSSE) {
-					return nil
-				}
-				return err
-			}
-		case len(line) > 7 && line[:7] == "event: ":
-			event = line[7:]
-		case len(line) > 6 && line[:6] == "data: ":
-			data = append(data, line[6:]...)
-		}
-	}
-	if err := flush(); err != nil && !errors.Is(err, errStopSSE) {
-		return err
-	}
-	return sc.Err()
 }

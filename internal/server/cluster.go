@@ -122,7 +122,7 @@ func (s *Server) replicate(hash string, result json.RawMessage) {
 				continue
 			}
 			req.Header.Set("Content-Type", "application/json")
-			resp, err := proxyClient.Do(req)
+			resp, err := s.peers.call.Do(req)
 			cancel()
 			if err != nil {
 				s.met.replicaErrs.Inc()
@@ -268,7 +268,7 @@ func (s *Server) resolveRemoteEvents(w http.ResponseWriter, r *http.Request, id 
 		return
 	}
 	req.Header.Set(forwardHeader, s.forwardValue(2))
-	resp, err := (&http.Client{}).Do(req) // no client timeout: SSE is long-lived
+	resp, err := s.peers.stream.Do(req)
 	if err != nil {
 		s.eventsFallback(w, flusher, id, hash, err)
 		return
@@ -331,7 +331,7 @@ func (s *Server) relayRequest(w http.ResponseWriter, r *http.Request, node clust
 		return
 	}
 	req.Header.Set(forwardHeader, s.forwardValue(2))
-	resp, err := proxyClient.Do(req)
+	resp, err := s.peers.call.Do(req)
 	if err != nil {
 		s.clu.ReportFailure(node.ID)
 		if res, ok := s.results.Get(hash); ok {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nocstar/internal/cluster"
+	"nocstar/internal/sse"
 )
 
 // Consistent-hash work sharding over dynamic membership. Every
@@ -135,24 +136,44 @@ func (s *Server) route(hash string, fwd forwardInfo, allowSpill bool) (proxyTarg
 	return proxyTarget{node: owner, hops: 1}, true
 }
 
-// proxyPollInterval paces status polls against the owning peer.
-const proxyPollInterval = 50 * time.Millisecond
+// peerClients are the HTTP clients for peer traffic. Both share one
+// transport, so proxy submissions, event streams, relays and
+// replication PUTs reuse the same pool of keep-alive connections.
+type peerClients struct {
+	transport *http.Transport
+	// call bounds each request/response exchange, so a hung peer
+	// degrades to handoff instead of wedging the caller.
+	call *http.Client
+	// stream has no whole-request timeout: an event stream lasts as
+	// long as the run it follows. Callers bound it themselves.
+	stream *http.Client
+}
 
-// proxyClient is the HTTP client for peer traffic: connection reuse,
-// but a bounded per-call timeout so a hung peer degrades to handoff
-// instead of wedging the proxy job.
-var proxyClient = &http.Client{Timeout: 30 * time.Second}
+// newPeerClients keeps up to perHost idle connections per peer. The
+// server passes its own capacity, Workers+QueueDepth, which is the
+// scale of a sweep's fan-out of proxied legs; Go's default of 2 idle
+// connections per host would make nearly every leg dial afresh.
+func newPeerClients(perHost int) peerClients {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no global cap: perHost times the cluster size bounds it
+	t.MaxIdleConnsPerHost = perHost
+	return peerClients{
+		transport: t,
+		call:      &http.Client{Transport: t, Timeout: 30 * time.Second},
+		stream:    &http.Client{Transport: t},
+	}
+}
 
 // proxyJob mirrors j onto target: the config is forwarded, the remote
-// run polled to a terminal state, and the outcome — result bytes
-// included, so they enter this node's store too — copied onto the
-// local job. When the target becomes unreachable the job hands off:
-// first the local store is consulted (the owner's write-behind replica
-// may already hold the result — zero re-executions), then ownership is
-// re-resolved against the membership view (the failure report demotes
-// the dead node) and the run forwarded to the new owner; only when no
-// untried live owner remains does the job fall back to local
-// execution. Every path is counted. Cancellation of the local job
+// run's event stream followed to a terminal state, and the outcome —
+// result bytes included, so they enter this node's store too — copied
+// onto the local job. When the target becomes unreachable (its stream
+// lost included) the job hands off: first the local store is consulted
+// (the owner's write-behind replica may already hold the result — zero
+// re-executions), then ownership is re-resolved against the membership
+// view (the failure report demotes the dead node) and the run
+// forwarded to the new owner; only when no untried live owner remains
+// does the job fall back to local execution. Every path is counted. Cancellation of the local job
 // (DELETE, deadline, shutdown) is relayed to the remote best-effort.
 func (s *Server) proxyJob(j *job, target proxyTarget) {
 	j.setState(stateRunning, nil, "")
@@ -223,10 +244,11 @@ func (s *Server) finishProxied(j *job, state jobState, result json.RawMessage, m
 	}
 }
 
-// proxyRemote submits j's config to target and follows the remote run
-// to a terminal status. Errors mean "target unreachable or unusable"
-// and select handoff; a remote terminal status (even failed or
-// canceled) is returned as-is.
+// proxyRemote submits j's config to target, follows the remote run's
+// event stream to a terminal frame, then fetches the terminal status
+// (result bytes included) once. Errors mean "target unreachable or
+// unusable" and select handoff; a remote terminal status (even failed
+// or canceled) is returned as-is.
 func (s *Server) proxyRemote(j *job, target proxyTarget) (runStatus, error) {
 	body, err := j.cfg.MarshalCanonical()
 	if err != nil {
@@ -249,33 +271,121 @@ func (s *Server) proxyRemote(j *job, target proxyTarget) (runStatus, error) {
 		// hash and let the handoff path decide.
 		return runStatus{}, fmt.Errorf("peer %s refused submission: status %d", addr, code)
 	}
-	for !jobState(st.State).terminal() {
-		select {
-		case <-j.ctx.Done():
-			// Relay the cancellation so the remote stops simulating, on a
-			// fresh context (ours is the one that died).
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			req, err := http.NewRequestWithContext(ctx, http.MethodDelete, addr+"/v1/runs/"+st.ID, nil)
-			if err == nil {
-				req.Header.Set(forwardHeader, s.forwardValue(2))
-				if resp, err := proxyClient.Do(req); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}
-			cancel()
+	if jobState(st.State).terminal() {
+		return st, nil
+	}
+	if err := s.followEvents(j.ctx, target.node, st.ID); err != nil {
+		if j.ctx.Err() != nil {
+			s.relayCancel(addr, st.ID)
 			return runStatus{State: string(stateCanceled), Error: "canceled by request"}, nil
-		case <-time.After(proxyPollInterval):
 		}
-		st, code, err = s.proxyRequest(j.ctx, http.MethodGet, addr+"/v1/runs/"+st.ID, nil, s.forwardValue(2))
-		if err != nil {
-			return runStatus{}, err
-		}
-		if code != http.StatusOK {
-			return runStatus{}, fmt.Errorf("peer %s lost run %s: status %d", addr, st.ID, code)
-		}
+		s.met.streamLost.Inc()
+		return runStatus{}, err
+	}
+	id := st.ID
+	st, code, err = s.proxyRequest(j.ctx, http.MethodGet, addr+"/v1/runs/"+id, nil, s.forwardValue(2))
+	if err != nil {
+		return runStatus{}, err
+	}
+	if code != http.StatusOK || !jobState(st.State).terminal() {
+		return runStatus{}, fmt.Errorf("peer %s lost run %s: status %d", addr, id, code)
 	}
 	return st, nil
+}
+
+// followEvents reads node's event stream for run id until a terminal
+// frame. It fails — and the caller hands off — when the stream cannot
+// be opened, ends before a terminal frame, or the membership view
+// writes node off as dead. The view is checked on the heartbeat
+// cadence: the stream has no timeout of its own, so a peer that stops
+// answering without closing the connection is noticed through its
+// missed heartbeats instead of holding the proxy job forever. Suspect
+// is not enough: one late heartbeat or failed replication PUT sets it,
+// and abandoning a stream that is still delivering would re-execute a
+// healthy run.
+func (s *Server) followEvents(ctx context.Context, node cluster.Node, id string) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	watched := make(chan struct{})
+	defer func() {
+		cancel(nil)
+		<-watched
+	}()
+	go func() {
+		defer close(watched)
+		t := time.NewTicker(s.opts.HeartbeatInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if n, ok := s.clu.Lookup(node.ID); !ok || n.State == cluster.StateDead {
+					cancel(fmt.Errorf("peer %s left the membership view", node.Addr))
+					return
+				}
+			}
+		}
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.Addr+"/v1/runs/"+id+"/events", nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set(forwardHeader, s.forwardValue(2))
+	resp, err := s.peers.stream.Do(req)
+	if err != nil {
+		return streamErr(ctx, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("peer %s events for run %s: status %d", node.Addr, id, resp.StatusCode)
+	}
+	terminal := false
+	err = sse.Read(resp.Body, func(_ string, data []byte) error {
+		var ev jobEvent
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return fmt.Errorf("decoding peer event: %w", err)
+		}
+		if jobState(ev.State).terminal() {
+			terminal = true
+			return sse.ErrStop
+		}
+		return nil
+	})
+	if terminal {
+		// The owner ends the response after its terminal frame; reading
+		// to EOF returns the connection to the pool for the status GET.
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if err == nil {
+		err = fmt.Errorf("peer %s events for run %s ended before a terminal state", node.Addr, id)
+	}
+	return streamErr(ctx, err)
+}
+
+// streamErr names why a follow was cut short: the membership watch's
+// cause when it fired, err otherwise.
+func streamErr(ctx context.Context, err error) error {
+	if cause := context.Cause(ctx); cause != nil && cause != ctx.Err() {
+		return cause
+	}
+	return err
+}
+
+// relayCancel relays a local cancellation to the remote run so it stops
+// simulating. It runs on a fresh context: the job's is the one that died.
+func (s *Server) relayCancel(addr, id string) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, addr+"/v1/runs/"+id, nil)
+	if err != nil {
+		return
+	}
+	req.Header.Set(forwardHeader, s.forwardValue(2))
+	if resp, err := s.peers.call.Do(req); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
 }
 
 // proxyRequest performs one peer call and decodes the runStatus body.
@@ -292,7 +402,7 @@ func (s *Server) proxyRequest(ctx context.Context, method, url string, body []by
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := proxyClient.Do(req)
+	resp, err := s.peers.call.Do(req)
 	if err != nil {
 		return runStatus{}, 0, err
 	}

@@ -167,6 +167,7 @@ type serverMetrics struct {
 	proxied      *metrics.AtomicCounter
 	proxyFallbck *metrics.AtomicCounter
 	proxyHandoff *metrics.AtomicCounter
+	streamLost   *metrics.AtomicCounter
 	reresolved   *metrics.AtomicCounter
 	remoteGets   *metrics.AtomicCounter
 	sweepConfigs *metrics.AtomicCounter
@@ -187,6 +188,8 @@ type Server struct {
 
 	// clu tracks dynamic membership; nil when clustering is disabled.
 	clu *cluster.Membership
+	// peers carries all traffic to other cluster members.
+	peers peerClients
 	// nodeID and epochToken identify this process incarnation; every
 	// job ID minted here embeds both, so any cluster node can route
 	// the ID back (or detect that the incarnation is gone).
@@ -246,6 +249,7 @@ func New(opts Options) (*Server, error) {
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
 		results:  results,
+		peers:    newPeerClients(opts.Workers + opts.QueueDepth),
 		reg:      metrics.NewRegistry(),
 	}
 	s.pool.SetShards(opts.Shards)
@@ -292,6 +296,7 @@ func New(opts Options) (*Server, error) {
 		proxied:      s.reg.AtomicCounter("server.runs.proxied"),
 		proxyFallbck: s.reg.AtomicCounter("server.proxy.fallback"),
 		proxyHandoff: s.reg.AtomicCounter("server.proxy.handoff"),
+		streamLost:   s.reg.AtomicCounter("server.proxy.stream_lost"),
 		reresolved:   s.reg.AtomicCounter("server.proxy.reresolved"),
 		remoteGets:   s.reg.AtomicCounter("server.runs.remote_resolved"),
 		sweepConfigs: s.reg.AtomicCounter("server.sweep.configs"),
@@ -391,15 +396,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(drained)
 	}()
+	var err error
 	select {
 	case <-drained:
-		s.baseCancel()
-		return nil
 	case <-ctx.Done():
-		s.baseCancel()
-		<-drained
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.baseCancel()
+	<-drained
+	s.peers.transport.CloseIdleConnections()
+	return err
 }
 
 // worker executes queued jobs until the queue closes.
