@@ -13,7 +13,7 @@ help:
 	@echo "  bench        short performance smoke benchmarks"
 	@echo "  bench-json   record BenchmarkTable3 as BENCH_<yyyymmdd>.json (perf trajectory)"
 	@echo "  bench-compare benchstat OLD=<file> NEW=<file> raw bench outputs"
-	@echo "  alloc        zero-allocation gates for the translation critical path"
+	@echo "  alloc        zero-allocation gates for the translation critical path, construction footprint"
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end report-pipeline smoke run"
@@ -52,8 +52,8 @@ race:
 	$(GO) test -race ./...
 
 # Short smoke at benchOptions() scale: representative figures plus the
-# engine event-queue microbenchmarks (watch allocs/op: the typed 4-ary
-# heap must stay allocation-free in steady state).
+# engine event-queue microbenchmarks (watch allocs/op: the timing wheel
+# must stay allocation-free in steady state).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig16Left$$|BenchmarkFig11c$$' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkScheduleRun' -benchtime 1s -benchmem ./internal/engine/
@@ -97,10 +97,11 @@ bench-compare:
 
 # The allocation-regression gate: the steady-state translation critical
 # path (NoC request/grant round trip, and the full system access path)
-# must stay at exactly zero heap allocations.
+# must stay at exactly zero heap allocations, and building a small
+# machine must cost in proportion to it (TestConstructionFootprint).
 alloc:
 	$(GO) test -run 'TestRequestPathAllocFree' -count 1 -v ./internal/noc/
-	$(GO) test -run 'TestAccessL2AllocFree' -count 1 -v ./internal/system/
+	$(GO) test -run 'TestAccessL2AllocFree|TestConstructionFootprint' -count 1 -v ./internal/system/
 
 # The invariant-checker gate (internal/check): the checker's own unit and
 # circuit-shadow tests, every organization run under the shadow oracle

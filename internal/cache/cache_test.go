@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -69,6 +70,80 @@ func TestFlush(t *testing.T) {
 	c.Flush()
 	if c.Lookup(0x1000) {
 		t.Fatal("line survived flush")
+	}
+}
+
+// An invalidated way is refilled before any valid way is evicted, even
+// when the invalidated way was not the set's LRU: the first invalid way
+// wins, and only a full set falls back to the lowest LRU stamp.
+func TestInsertRefillsInvalidatedWay(t *testing.T) {
+	c := New(Config{Name: "t", Sets: 1, Ways: 4, HitLatency: 1})
+	a, b, d, e, f := vm.PhysAddr(0), vm.PhysAddr(64), vm.PhysAddr(128), vm.PhysAddr(192), vm.PhysAddr(256)
+	for _, pa := range []vm.PhysAddr{a, b, d, e} { // ways 0-3, ticks 1-4
+		c.Insert(pa)
+	}
+	c.Lookup(e) // tick 5; a (way 0) is now the LRU way
+	// The sweep starts at the tick: way 5%4 = 1 (b) is invalidated and
+	// keeps its LRU stamp, which is older than every valid way but a's.
+	c.EvictRandomLines(1)
+	c.Insert(f)
+	for _, want := range []struct {
+		pa      vm.PhysAddr
+		present bool
+	}{{a, true}, {b, false}, {d, true}, {e, true}, {f, true}} {
+		if got := c.Lookup(want.pa); got != want.present {
+			t.Fatalf("line %#x present = %v, want %v", uint64(want.pa), got, want.present)
+		}
+	}
+}
+
+// A snapshot restored into a fresh cache reproduces the source's exact
+// hit/miss sequence from that point on: lines, invalidated ways and the
+// LRU clock all carry over.
+func TestSnapshotRoundTrip(t *testing.T) {
+	cfg := Config{Name: "s", Sets: 16, Ways: 4, HitLatency: 1}
+	rng := rand.New(rand.NewSource(11))
+	addr := func() vm.PhysAddr { return vm.PhysAddr(rng.Intn(256) * LineBytes) }
+	access := func(c *Cache, pa vm.PhysAddr) bool {
+		hit := c.Lookup(pa)
+		if !hit {
+			c.Insert(pa)
+		}
+		return hit
+	}
+	src := New(cfg)
+	for i := 0; i < 2000; i++ {
+		access(src, addr())
+		if i%97 == 0 {
+			src.EvictRandomLines(5)
+		}
+	}
+	snap := src.Snapshot()
+	stream := make([]vm.PhysAddr, 2000)
+	for i := range stream {
+		stream[i] = addr()
+	}
+	trace := func(c *Cache) []bool {
+		out := make([]bool, len(stream))
+		for i, pa := range stream {
+			out[i] = access(c, pa)
+		}
+		return out
+	}
+	restored := New(cfg)
+	restored.RestoreSnapshot(snap)
+	want, got, cold := trace(src), trace(restored), trace(New(cfg))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d (%#x): restored hit = %v, source hit = %v", i, uint64(stream[i]), got[i], want[i])
+		}
+	}
+	same := true
+	for i := range want {
+		same = same && cold[i] == want[i]
+	}
+	if same {
+		t.Fatal("a cold cache matches the source's trace: the stream does not exercise the snapshot")
 	}
 }
 

@@ -27,13 +27,16 @@ type Actor interface {
 }
 
 // event is a scheduled callback: either a plain closure (fn) or a typed
-// (actor, op, arg) triple. fn takes precedence when non-nil.
+// (actor, op, arg) triple. fn takes precedence when non-nil. next links a
+// wheel slot to the following slot of its bucket (or of the free list);
+// it sits in op's padding, so an event stays 64 bytes.
 type event struct {
 	when  Cycle
 	seq   uint64
 	fn    func()
 	actor Actor
 	op    uint8
+	next  int32
 	arg   any
 }
 
@@ -134,7 +137,8 @@ const defaultWheelSize = 8192
 // for use; call New.
 //
 // Events are kept in a timing wheel: one FIFO bucket per cycle in
-// [now, now+wheelSize). Because sequence numbers are assigned in
+// [now, now+wheelSize), each a linked list threaded through one shared
+// slot array. Because sequence numbers are assigned in
 // scheduling order and scheduling only happens while the clock stands
 // still, appending to a bucket already yields (when, seq) order — popping
 // a bucket front-to-back replays a cycle exactly as the old comparison
@@ -146,13 +150,17 @@ const defaultWheelSize = 8192
 type Engine struct {
 	now Cycle
 	seq uint64
-	// wheel[c&wheelMask] holds the events of cycle c, for c in
-	// [now, now+wheelSize), in seq order. Buckets keep their capacity
-	// across laps, so the steady state allocates nothing. The size is
-	// fixed at construction: standalone engines use defaultWheelSize,
-	// while sharded runs carve many engines with small wheels so a
-	// 1024-region run stays memory-bounded.
-	wheel        [][]event
+	// head[c&wheelMask] and tail[c&wheelMask] index the first and last
+	// slot of cycle c's bucket, for c in [now, now+wheelSize); 0 is the
+	// empty list. A bucket's slots are linked through event.next in seq
+	// order. Freed slots go on the free list and are reused, so the slot
+	// array grows only to the peak number of wheel events in flight and
+	// the steady state allocates nothing. The horizon costs 8 bytes per
+	// cycle: standalone engines use defaultWheelSize, while sharded runs
+	// carve many engines with small wheels.
+	head, tail   []int32
+	slots        []event // slots[0] is unused, so index 0 can mean "none"
+	free         int32   // first free slot, 0 if none
 	wheelSize    Cycle
 	wheelMask    int
 	wheelPending int
@@ -187,15 +195,6 @@ func (e *Engine) SetCheck(fn func(when Cycle, seq uint64)) {
 	e.check = fn
 }
 
-// wheelBucketCap is the initial per-bucket capacity. Buckets are carved
-// from one shared slab in New: profiles showed bucket append-growth was
-// the single largest allocation-count source in a sweep (a few small
-// grow-copies for nearly every bucket of every engine). Most buckets
-// never hold more than a couple of events at once, so a small carved
-// capacity absorbs almost all inserts; the rare busy bucket spills to a
-// normally-grown slice and keeps it across laps.
-const wheelBucketCap = 4
-
 // New returns an engine with the clock at cycle 0 and no pending events.
 func New() *Engine {
 	return NewSized(defaultWheelSize)
@@ -209,16 +208,14 @@ func NewSized(wheelSize int) *Engine {
 	if wheelSize <= 0 || wheelSize&(wheelSize-1) != 0 {
 		panic("engine: wheel size must be a positive power of two")
 	}
-	e := &Engine{
-		wheel:     make([][]event, wheelSize),
+	ends := make([]int32, 2*wheelSize)
+	return &Engine{
+		head:      ends[:wheelSize],
+		tail:      ends[wheelSize:],
+		slots:     make([]event, 1),
 		wheelSize: Cycle(wheelSize),
 		wheelMask: wheelSize - 1,
 	}
-	slab := make([]event, wheelSize*wheelBucketCap)
-	for i := range e.wheel {
-		e.wheel[i] = slab[i*wheelBucketCap : i*wheelBucketCap : (i+1)*wheelBucketCap]
-	}
-	return e
 }
 
 // Now reports the current cycle.
@@ -279,16 +276,30 @@ func (e *Engine) At(when Cycle, fn func()) {
 	e.insert(event{when: when, seq: e.seq, fn: fn})
 }
 
-// insert places an event in the wheel when it is within the horizon, in
+// insert appends an event to the tail of its cycle's bucket, in a slot
+// from the free list when there is one, when it is within the horizon; in
 // the overflow heap otherwise.
 func (e *Engine) insert(ev event) {
-	if ev.when < e.now+e.wheelSize {
-		b := int(ev.when) & e.wheelMask
-		e.wheel[b] = append(e.wheel[b], ev)
-		e.wheelPending++
+	if ev.when >= e.now+e.wheelSize {
+		e.overflow.push(ev)
 		return
 	}
-	e.overflow.push(ev)
+	i := e.free
+	if i != 0 {
+		e.free = e.slots[i].next
+		e.slots[i] = ev
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, ev)
+	}
+	b := int(ev.when) & e.wheelMask
+	if t := e.tail[b]; t != 0 {
+		e.slots[t].next = i
+	} else {
+		e.head[b] = i
+	}
+	e.tail[b] = i
+	e.wheelPending++
 }
 
 // drainOverflow migrates every overflow event that has come within the
@@ -301,10 +312,7 @@ func (e *Engine) insert(ev event) {
 func (e *Engine) drainOverflow() {
 	limit := e.now + e.wheelSize
 	for e.overflow.len() > 0 && e.overflow.head().when < limit {
-		ev := e.overflow.pop()
-		b := int(ev.when) & e.wheelMask
-		e.wheel[b] = append(e.wheel[b], ev)
-		e.wheelPending++
+		e.insert(e.overflow.pop())
 	}
 }
 
@@ -322,7 +330,7 @@ func (e *Engine) nextEventCycle() (Cycle, bool) {
 		// earlier than the overflow heap's horizon is in the wheel, so the
 		// first populated bucket from now is the global minimum.
 		for c := e.now; ; c++ {
-			if len(e.wheel[int(c)&e.wheelMask]) > 0 {
+			if e.head[int(c)&e.wheelMask] != 0 {
 				return c, true
 			}
 		}
@@ -376,11 +384,22 @@ func (e *Engine) step() bool {
 	bi := int(e.now) & e.wheelMask
 	for {
 		ran := false
-		// The current bucket is in seq order; events executed here may
-		// append same-cycle events behind the cursor, so the length is
-		// re-read every iteration.
-		for i := 0; i < len(e.wheel[bi]); i++ {
-			ev := e.wheel[bi][i]
+		// The current bucket is in seq order. Each event is unlinked
+		// (and its slot freed) before it runs, so same-cycle events it
+		// schedules land behind the cursor and run in this loop. Freed
+		// slots keep their stale payloads: those are the model's own
+		// long-lived actors and free-listed transaction objects, so
+		// nothing leaks, and skipping the clear keeps a 64-byte memclr
+		// and its pointer write barriers out of the hottest loop in the
+		// simulator.
+		for i := e.head[bi]; i != 0; i = e.head[bi] {
+			ev := e.slots[i]
+			e.head[bi] = ev.next
+			if ev.next == 0 {
+				e.tail[bi] = 0
+			}
+			e.slots[i].next = e.free
+			e.free = i
 			e.wheelPending--
 			e.processed++
 			if e.observe != nil {
@@ -395,16 +414,6 @@ func (e *Engine) step() bool {
 				ev.actor.Act(ev.op, ev.arg)
 			}
 			ran = true
-		}
-		if len(e.wheel[bi]) > 0 {
-			// Truncate without zeroing: the stale events beyond the new
-			// length keep their payloads reachable, but those are the
-			// model's own long-lived actors and free-listed transaction
-			// objects, so nothing leaks — and skipping the clear removes a
-			// bulk memclr plus its pointer write barriers from the hottest
-			// loop in the simulator. Capacity stays bounded by the busiest
-			// cycle the bucket has ever seen.
-			e.wheel[bi] = e.wheel[bi][:0]
 		}
 		if len(e.finalizers) > 0 {
 			// Swap in the recycled buffer before running: finalizers may

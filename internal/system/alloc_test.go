@@ -63,9 +63,9 @@ func allocTestSystem(t testing.TB) (*System, *engine.Cycle) {
 	}
 	s.startDisturbances()
 	// The long warmup matters: beyond mapping every page and filling the
-	// free lists, each of the engine's 8192 wheel buckets must see its
-	// steady-state maximum event count so bucket capacities stop growing.
-	// Empirically the last append-growth happens before cycle 8M with this
+	// free lists, the engine's wheel slot array must reach its
+	// steady-state peak of in-flight events so it stops growing.
+	// Empirically the last growth happens well before cycle 8M with this
 	// workload; 10M leaves margin.
 	limit := engine.Cycle(10_000_000)
 	s.eng.RunUntil(limit)
