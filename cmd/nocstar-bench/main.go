@@ -48,7 +48,6 @@ type Record struct {
 	GitSHA     string      `json:"git_sha"`
 	GoVersion  string      `json:"go_version"`
 	GoMaxProcs int         `json:"gomaxprocs"`
-	Shards     int         `json:"shards,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -69,7 +68,6 @@ func main() {
 		pkg       = flag.String("pkg", ".", "package to benchmark")
 		in        = flag.String("in", "", "parse this bench-output file instead of running go test (- for stdin)")
 		out       = flag.String("out", "", "output JSON path (default BENCH_<yyyymmdd>.json; - for stdout)")
-		shards    = flag.Int("shards", 0, "intra-run shard count recorded in the output metadata (the benchmark itself reads NOCSTAR_SHARDS)")
 	)
 	flag.Parse()
 
@@ -98,7 +96,6 @@ func main() {
 		GitSHA:     gitSHA(),
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Shards:     *shards,
 		Benchmarks: benches,
 	}
 	doc, err := json.MarshalIndent(rec, "", "  ")

@@ -9,18 +9,11 @@ import (
 	"testing"
 )
 
-// TestReportShardMatrix is the end-to-end determinism gate for the
-// partitioned parallel engine: the same invocation at every combination
-// of intra-run shard count (-shards) and sweep parallelism (-j) must
-// write a byte-identical -report JSON. The default matrix covers the
-// corner cells; set NOCSTAR_FULL_MATRIX=1 for the full
-// shards{1,2,4} x j{1,4} sweep.
-//
-// The experiment is chosen to exercise both engines at once: fig12 runs
-// Private and DistributedMesh configs (partitioned engine) next to
-// monolithic and NOCSTAR configs (legacy engine fallback) and divides by
-// the memoized private baseline.
-func TestReportShardMatrix(t *testing.T) {
+// assertReportIdenticalAcrossJ builds the nocstar-exp binary, runs the
+// same invocation once per sweep parallelism in js, and fails unless
+// every run writes a byte-identical -report JSON.
+func assertReportIdenticalAcrossJ(t *testing.T, js []int, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the nocstar-exp binary")
 	}
@@ -30,25 +23,16 @@ func TestReportShardMatrix(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	type cell struct{ shards, j int }
-	cells := []cell{{1, 1}, {2, 4}, {4, 1}}
-	if os.Getenv("NOCSTAR_FULL_MATRIX") != "" {
-		cells = []cell{{1, 1}, {1, 4}, {2, 1}, {2, 4}, {4, 1}, {4, 4}}
-	}
-
 	var golden []byte
-	for _, c := range cells {
+	for _, j := range js {
 		report := filepath.Join(t.TempDir(), "report.json")
-		cmd := exec.Command(bin,
-			"-instr", "2000",
-			"-workloads", "gups",
-			"-shards", strconv.Itoa(c.shards),
-			"-j", strconv.Itoa(c.j),
+		cmd := exec.Command(bin, append([]string{
+			"-j", strconv.Itoa(j),
 			"-quiet",
 			"-report", report,
-			"fig12")
+		}, args...)...)
 		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("shards=%d j=%d: %v\n%s", c.shards, c.j, err, out)
+			t.Fatalf("j=%d: %v\n%s", j, err, out)
 		}
 		got, err := os.ReadFile(report)
 		if err != nil {
@@ -59,8 +43,8 @@ func TestReportShardMatrix(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(golden, got) {
-			t.Fatalf("shards=%d j=%d report diverges from shards=%d j=%d (%d vs %d bytes)",
-				c.shards, c.j, cells[0].shards, cells[0].j, len(got), len(golden))
+			t.Fatalf("j=%d report diverges from j=%d (%d vs %d bytes)",
+				j, js[0], len(got), len(golden))
 		}
 	}
 	if len(golden) == 0 {
@@ -68,54 +52,21 @@ func TestReportShardMatrix(t *testing.T) {
 	}
 }
 
+// TestReportParallelismMatrix is the end-to-end determinism gate for
+// sweep parallelism: the same invocation at every -j must write a
+// byte-identical -report JSON. fig12 mixes private, distributed,
+// monolithic and NOCSTAR configs and divides by the memoized private
+// baseline, so concurrent runs and cross-experiment dedup both engage.
+func TestReportParallelismMatrix(t *testing.T) {
+	assertReportIdenticalAcrossJ(t, []int{1, 2, 4},
+		"-instr", "2000", "-workloads", "gups", "fig12")
+}
+
 // TestReportPlacementMatrix extends the byte-identity gate to the fabric
 // layer: the placement experiment — every topology crossed with every
 // placement strategy on the distributed organization — must write the
-// identical -report JSON at every (-shards, -j) corner. One cell per
-// fabric runs end-to-end here, covering the acceptance matrix for the
-// pluggable topologies under the partitioned engine.
+// identical -report JSON at every -j.
 func TestReportPlacementMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the nocstar-exp binary")
-	}
-	bin := filepath.Join(t.TempDir(), "nocstar-exp")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	type cell struct{ shards, j int }
-	cells := []cell{{1, 1}, {2, 4}, {4, 1}}
-
-	var golden []byte
-	for _, c := range cells {
-		report := filepath.Join(t.TempDir(), "report.json")
-		cmd := exec.Command(bin,
-			"-instr", "1500",
-			"-cores", "16",
-			"-workloads", "gups",
-			"-shards", strconv.Itoa(c.shards),
-			"-j", strconv.Itoa(c.j),
-			"-quiet",
-			"-report", report,
-			"placement")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("shards=%d j=%d: %v\n%s", c.shards, c.j, err, out)
-		}
-		got, err := os.ReadFile(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if golden == nil {
-			golden = got
-			continue
-		}
-		if !bytes.Equal(golden, got) {
-			t.Fatalf("shards=%d j=%d placement report diverges from shards=%d j=%d (%d vs %d bytes)",
-				c.shards, c.j, cells[0].shards, cells[0].j, len(got), len(golden))
-		}
-	}
-	if len(golden) == 0 {
-		t.Fatal("empty report")
-	}
+	assertReportIdenticalAcrossJ(t, []int{1, 4},
+		"-instr", "1500", "-cores", "16", "-workloads", "gups", "placement")
 }

@@ -126,8 +126,8 @@ func (q *eventQueue) siftDown(e event) {
 	ev[i] = e
 }
 
-// defaultWheelSize is the standalone engine's horizon in cycles. Nearly
-// every delay in the simulator is short (port waits, SRAM latencies, NoC
+// defaultWheelSize is the engine's horizon in cycles. Nearly every
+// delay in the simulator is short (port waits, SRAM latencies, NoC
 // traversals, page walks, shootdown intervals), so events overwhelmingly
 // land within the wheel; only far-future schedules take the overflow
 // heap. Must be a power of two.
@@ -156,8 +156,7 @@ type Engine struct {
 	// order. Freed slots go on the free list and are reused, so the slot
 	// array grows only to the peak number of wheel events in flight and
 	// the steady state allocates nothing. The horizon costs 8 bytes per
-	// cycle: standalone engines use defaultWheelSize, while sharded runs
-	// carve many engines with small wheels.
+	// cycle.
 	head, tail   []int32
 	slots        []event // slots[0] is unused, so index 0 can mean "none"
 	free         int32   // first free slot, 0 if none
@@ -197,14 +196,13 @@ func (e *Engine) SetCheck(fn func(when Cycle, seq uint64)) {
 
 // New returns an engine with the clock at cycle 0 and no pending events.
 func New() *Engine {
-	return NewSized(defaultWheelSize)
+	return newSized(defaultWheelSize)
 }
 
-// NewSized returns an engine whose timing wheel spans the given horizon,
-// which must be a power of two. Small horizons trade overflow-heap
-// traffic for memory: a sharded run instantiates one engine per region
-// and keeps each wheel short.
-func NewSized(wheelSize int) *Engine {
+// newSized returns an engine whose timing wheel spans the given horizon,
+// which must be a power of two. Tests use a small horizon to push most
+// events through the overflow heap.
+func newSized(wheelSize int) *Engine {
 	if wheelSize <= 0 || wheelSize&(wheelSize-1) != 0 {
 		panic("engine: wheel size must be a positive power of two")
 	}
@@ -314,13 +312,6 @@ func (e *Engine) drainOverflow() {
 	for e.overflow.len() > 0 && e.overflow.head().when < limit {
 		e.insert(e.overflow.pop())
 	}
-}
-
-// NextPending reports the cycle of the earliest pending ordinary event,
-// if any. Finalizers for the current cycle are not considered. The
-// sharded scheduler uses it to fast-forward over globally idle windows.
-func (e *Engine) NextPending() (Cycle, bool) {
-	return e.nextEventCycle()
 }
 
 // nextEventCycle returns the cycle of the earliest pending event.

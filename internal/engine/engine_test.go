@@ -438,7 +438,7 @@ func TestEventOrderMatchesHeapOracle(t *testing.T) {
 			runOrderScenario(ref, seed)
 			ref.Run()
 
-			e := NewSized(size)
+			e := newSized(size)
 			var got [][2]uint64
 			e.SetObserver(func(when Cycle, seq uint64) {
 				got = append(got, [2]uint64{uint64(when), seq})

@@ -53,37 +53,6 @@ func topologyConfig(kind noc.TopologyKind) Config {
 	return cfg
 }
 
-// TestTopologyShardIdentity extends the K-identity pin across every
-// fabric: for each topology, sharded runs at K in {2, 4} must produce a
-// Result deep-equal to the K=1 run.
-func TestTopologyShardIdentity(t *testing.T) {
-	for _, kind := range noc.TopologyKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := topologyConfig(kind)
-			cfg.Policy = WalkAtRemote
-			cfg.ShootdownInterval = 30_000
-			base, err := RunSharded(cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.Cycles == 0 || base.L2Accesses == 0 {
-				t.Fatalf("degenerate run: %+v", base)
-			}
-			for _, k := range []int{2, 4} {
-				got, err := RunSharded(cfg, k)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("shards=%d diverges from shards=1 under %v", k, kind)
-				}
-			}
-		})
-	}
-}
-
 // TestTopologyChangesLatency sanity-checks that the fabric actually
 // flows into timing: the single-hop crossbar must finish a distributed
 // run in no more cycles than the multi-hop mesh.
@@ -95,33 +64,6 @@ func TestTopologyChangesLatency(t *testing.T) {
 	}
 	if xbar.Cycles == mesh.Cycles {
 		t.Fatalf("crossbar run identical to mesh (%d cycles): topology not wired into timing", xbar.Cycles)
-	}
-}
-
-// TestPlacementShardIdentity pins K-invariance for the optimizing
-// placements: both engines must build the identical table and produce
-// the identical Result.
-func TestPlacementShardIdentity(t *testing.T) {
-	for _, strat := range []place.Strategy{place.Random, place.LocalityAware, place.Annealed} {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := topologyConfig(noc.TopoMesh)
-			cfg.Placement = strat
-			base, err := RunSharded(cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{2, 4} {
-				got, err := RunSharded(cfg, k)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("shards=%d diverges from shards=1 under %v placement", k, strat)
-				}
-			}
-		})
 	}
 }
 
